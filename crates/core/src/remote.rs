@@ -1306,130 +1306,6 @@ pub fn resume_or_establish(
     Ok(false)
 }
 
-/// Testkit parity check: on `sub`, interleaved multiplexed requests must
-/// each land as a child span of **their own caller**, never of the
-/// session opener or a sibling — the E12 guarantee extended to the
-/// session layer, uniform across all six backends.
-///
-/// # Panics
-///
-/// When the backend breaks the per-request span-lineage guarantee.
-pub fn assert_multiplexed_trace_propagation(sub: Box<dyn lateral_substrate::substrate::Substrate>) {
-    use crate::manifest::{AppManifest, ComponentManifest};
-    use lateral_substrate::component::Component;
-    use lateral_substrate::testkit::Counter;
-
-    let backend = sub.profile().name.clone();
-    let mut factory = |_: &ComponentManifest| -> Option<Box<dyn Component>> {
-        Some(Box::new(Counter::default()))
-    };
-    let manifest = AppManifest::new("mux-parity", vec![ComponentManifest::new("counter")]);
-    let mut asm = crate::composer::compose(&manifest, vec![sub], &mut factory)
-        .unwrap_or_else(|e| panic!("[{backend}] compose: {e}"));
-
-    let mut net = Network::new(&format!("mux-{backend}"));
-    let mut server = RemoteServer::bind(
-        &mut net,
-        Addr::new("svc"),
-        ServiceExport {
-            component: "counter".into(),
-            badge: Badge(0xB0B),
-            identity: SigningKey::from_seed(b"mux parity server"),
-            client_policy: ChannelPolicy::open(),
-            attest: false,
-        },
-    );
-    let mut client = RemoteClient::new(
-        &mut net,
-        Addr::new("client"),
-        Addr::new("svc"),
-        SigningKey::from_seed(b"mux parity client"),
-        ChannelPolicy::open(),
-        None,
-    );
-    establish(&mut net, &mut client, None, &mut server, &mut asm)
-        .unwrap_or_else(|e| panic!("[{backend}] establish: {e}"));
-
-    let payloads: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8]).collect();
-    let mut ids = Vec::new();
-    for p in &payloads {
-        ids.push(
-            client
-                .submit(p)
-                .unwrap_or_else(|e| panic!("[{backend}] submit: {e}")),
-        );
-    }
-    assert_eq!(
-        client.in_flight(),
-        4,
-        "[{backend}] all four requests in flight before the flush"
-    );
-    client
-        .flush(&mut net)
-        .unwrap_or_else(|e| panic!("[{backend}] flush: {e}"));
-    server
-        .pump(&mut net, &mut asm)
-        .unwrap_or_else(|e| panic!("[{backend}] pump: {e}"));
-    let replies = client
-        .poll_group_replies(&mut net)
-        .unwrap_or_else(|e| panic!("[{backend}] poll: {e}"));
-    assert_eq!(replies.len(), 4, "[{backend}] every request answered");
-    let reply_ids: Vec<u64> = replies.iter().map(|(id, _)| *id).collect();
-    assert_eq!(reply_ids, ids, "[{backend}] deterministic ascending order");
-    for (id, result) in &replies {
-        result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("[{backend}] request {id} failed: {e}"));
-    }
-    assert_eq!(client.in_flight(), 0, "[{backend}] window fully drained");
-
-    // Client side: each request span is a *sibling* under the session
-    // root, in the root trace.
-    let t = client.telemetry();
-    let root = client.session_span();
-    let root_trace = t
-        .open_spans()
-        .find(|s| s.id == root)
-        .unwrap_or_else(|| panic!("[{backend}] session root still open"))
-        .trace_id;
-    let request_spans: Vec<_> = t.spans().filter(|s| &*s.name == "request").collect();
-    assert_eq!(request_spans.len(), 4, "[{backend}] four request spans");
-    for s in &request_spans {
-        assert_eq!(
-            s.parent, root,
-            "[{backend}] request span parents on the session root, not a sibling"
-        );
-        assert_eq!(s.trace_id, root_trace, "[{backend}] in the root trace");
-        assert_eq!(s.outcome, span_outcome::OK, "[{backend}] ended OK");
-    }
-    // Server side: each serve span adopted its own caller's context —
-    // same trace, parented on the matching request span, all distinct.
-    let serves: Vec<_> = server
-        .telemetry()
-        .spans()
-        .filter(|s| &*s.name == "serve counter")
-        .cloned()
-        .collect();
-    assert_eq!(serves.len(), 4, "[{backend}] four serve spans");
-    let mut serve_parents: Vec<SpanId> = serves.iter().map(|s| s.parent).collect();
-    serve_parents.sort();
-    serve_parents.dedup();
-    assert_eq!(
-        serve_parents.len(),
-        4,
-        "[{backend}] serve spans parent on four DISTINCT request spans"
-    );
-    let request_ids: std::collections::BTreeSet<SpanId> =
-        request_spans.iter().map(|s| s.id).collect();
-    for s in &serves {
-        assert_eq!(s.trace_id, root_trace, "[{backend}] serve in caller trace");
-        assert!(
-            request_ids.contains(&s.parent),
-            "[{backend}] serve span parents on a request span, not the session opener"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1787,11 +1663,6 @@ mod tests {
             2,
             "two full handshakes total"
         );
-    }
-
-    #[test]
-    fn multiplexed_parity_assertion_passes_on_software() {
-        assert_multiplexed_trace_propagation(Box::new(SoftwareSubstrate::new("mux")));
     }
 
     #[test]

@@ -34,10 +34,7 @@ use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
-use lateral_substrate::component::Component;
 use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
 use lateral_substrate::{DomainId, SubstrateError};
 use lateral_tpm::Tpm;
 
@@ -115,6 +112,10 @@ impl Flicker {
 }
 
 impl BackendPolicy for Flicker {
+    fn describe(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -201,6 +202,14 @@ impl BackendPolicy for Flicker {
         self.clock += cycles;
     }
 
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn rng_root(&mut self) -> (&mut Drbg, &'static str) {
+        (&mut self.rng, "pal")
+    }
+
     fn seal_blob(
         &mut self,
         domain: DomainId,
@@ -261,85 +270,12 @@ impl BackendPolicy for Flicker {
             report_data,
         ))
     }
-}
 
-impl Substrate for Flicker {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn attestation_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.tpm.attestation_key())
     }
 
-    fn mem_read(
+    fn read_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
@@ -354,7 +290,7 @@ impl Substrate for Flicker {
         Ok(mem[offset..end].to_vec())
     }
 
-    fn mem_write(
+    fn write_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
@@ -369,42 +305,15 @@ impl Substrate for Flicker {
         mem[offset..end].copy_from_slice(data);
         Ok(())
     }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("pal-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.clock
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lateral_substrate::attest::TrustPolicy;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::{DomainSpec, Substrate};
     use lateral_substrate::testkit::{Echo, Forwarder};
 
     #[test]

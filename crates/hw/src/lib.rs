@@ -228,6 +228,9 @@ pub enum HwError {
     },
     /// Address outside of installed physical memory.
     BadAddress(PhysAddr),
+    /// A virtual address computed from a base and an offset does not fit
+    /// in 64 bits.
+    AddressOverflow,
     /// Virtual address had no mapping or insufficient rights.
     PageFault {
         /// Faulting virtual address.
@@ -255,6 +258,7 @@ impl fmt::Display for HwError {
                 reason,
             } => write!(f, "access denied: {initiator} at {addr}: {reason}"),
             HwError::BadAddress(a) => write!(f, "bad physical address {a}"),
+            HwError::AddressOverflow => write!(f, "address overflow"),
             HwError::PageFault { addr, reason } => write!(f, "page fault at {addr}: {reason}"),
             HwError::IntegrityViolation(a) => write!(f, "integrity violation at {a}"),
             HwError::OutOfFrames => write!(f, "out of physical frames"),

@@ -17,8 +17,9 @@ use crate::device::{DeviceKind, DeviceRegistry};
 use crate::fuse::FuseBank;
 use crate::iommu::Iommu;
 use crate::mem::{Frame, FrameOwner, PhysMem};
+use crate::mmu::AddressSpace;
 use crate::scratchpad::Scratchpad;
-use crate::{DeviceId, HwError, Initiator, PhysAddr, PAGE_SIZE};
+use crate::{DeviceId, HwError, Initiator, PhysAddr, VirtAddr, PAGE_SIZE};
 
 /// Builder for [`Machine`].
 ///
@@ -289,6 +290,60 @@ impl Machine {
         Ok(())
     }
 
+    /// Reads `len` bytes at byte `offset` of the memory `aspace` maps
+    /// from virtual address `base`: the range is translated through the
+    /// MMU, then each physical span is read over the bus as `initiator`.
+    /// This is the memory path every MMU-based substrate shares.
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::AddressOverflow`] when `base + offset` does not fit in
+    /// 64 bits, [`HwError::PageFault`] when a page of the range is
+    /// unmapped or lacks the right, and the classes of
+    /// [`Machine::bus_read`].
+    pub fn mapped_read(
+        &mut self,
+        aspace: &AddressSpace,
+        initiator: Initiator,
+        base: u64,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, HwError> {
+        let spans = translate_at(aspace, base, offset, len, AccessKind::Read)?;
+        let mut out = Vec::with_capacity(len);
+        for (pa, span_len) in spans {
+            out.extend_from_slice(&self.bus_read(initiator, pa, span_len)?);
+        }
+        Ok(out)
+    }
+
+    /// Writes `data` at byte `offset` of the memory `aspace` maps from
+    /// virtual address `base` — the write half of
+    /// [`Machine::mapped_read`]. Nothing is written unless the whole
+    /// range translates.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::mapped_read`], with the classes of
+    /// [`Machine::bus_write`].
+    pub fn mapped_write(
+        &mut self,
+        aspace: &AddressSpace,
+        initiator: Initiator,
+        base: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), HwError> {
+        let spans = translate_at(aspace, base, offset, data.len(), AccessKind::Write)?;
+        let mut rest = data;
+        for (pa, span_len) in spans {
+            let (chunk, tail) = rest.split_at(span_len);
+            self.bus_write(initiator, pa, chunk)?;
+            rest = tail;
+        }
+        Ok(())
+    }
+
     /// Performs a cache access attributed to `domain`, advancing the clock
     /// by the hit/miss latency. Returns the outcome (used by the
     /// prime+probe covert channel).
@@ -347,6 +402,20 @@ impl Machine {
     pub fn take_denied_log(&mut self) -> Vec<DeniedAccess> {
         std::mem::take(&mut self.denied_log)
     }
+}
+
+/// Translates the `len`-byte range at `base + offset` in `aspace`.
+fn translate_at(
+    aspace: &AddressSpace,
+    base: u64,
+    offset: usize,
+    len: usize,
+    kind: AccessKind,
+) -> Result<Vec<(PhysAddr, usize)>, HwError> {
+    let va = base
+        .checked_add(offset as u64)
+        .ok_or(HwError::AddressOverflow)?;
+    aspace.translate_range(VirtAddr(va), len, kind)
 }
 
 #[cfg(test)]

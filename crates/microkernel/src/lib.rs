@@ -34,7 +34,6 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::cache::{CacheDomain, CacheOutcome};
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
@@ -42,10 +41,7 @@ use lateral_hw::mmu::{AddressSpace, Rights};
 use lateral_hw::{DeviceId, Initiator, VirtAddr, World, PAGE_SIZE};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
-use lateral_substrate::component::Component;
 use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
 use lateral_substrate::{DomainId, SubstrateError};
 
 pub use sched::{PartitionPlan, SchedPolicy, Scheduler};
@@ -215,24 +211,19 @@ impl Microkernel {
         offset: usize,
         data: &[u8],
     ) -> Result<(), SubstrateError> {
-        let spans = {
-            let k = self.kdomain(domain)?;
-            k.aspace
-                .translate_range(
-                    VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                    data.len(),
-                    AccessKind::Write,
-                )
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?
-        };
-        let mut cursor = 0usize;
-        for (pa, len) in spans {
-            self.machine
-                .dma_write(device, pa, &data[cursor..cursor + len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += len;
-        }
-        Ok(())
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        self.machine
+            .mapped_write(
+                &k.aspace,
+                Initiator::Device(device),
+                Self::MEM_BASE,
+                offset,
+                data,
+            )
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 
     /// Physical frames backing a domain — used by the attack experiments
@@ -265,26 +256,13 @@ impl Microkernel {
             measurement.as_bytes(),
         )
     }
-
-    fn mem_access(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        kind: AccessKind,
-        len: usize,
-    ) -> Result<Vec<(lateral_hw::PhysAddr, usize)>, SubstrateError> {
-        let va = Self::MEM_BASE
-            .checked_add(offset as u64)
-            .map(VirtAddr)
-            .ok_or_else(|| SubstrateError::AccessDenied("address overflow".into()))?;
-        let k = self.kdomain(domain)?;
-        k.aspace
-            .translate_range(va, len, kind)
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))
-    }
 }
 
 impl BackendPolicy for Microkernel {
+    fn describe(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -371,6 +349,14 @@ impl BackendPolicy for Microkernel {
         self.machine.clock.advance(cycles);
     }
 
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
+    }
+
+    fn rng_root(&mut self) -> (&mut Drbg, &'static str) {
+        (&mut self.rng, "domain")
+    }
+
     fn seal_blob(
         &mut self,
         _domain: DomainId,
@@ -414,81 +400,8 @@ impl BackendPolicy for Microkernel {
             )),
         }
     }
-}
 
-impl Substrate for Microkernel {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn attestation_key(&self) -> Result<VerifyingKey, SubstrateError> {
         self.attestation
             .as_ref()
             .map(|(k, _)| k.verifying_key())
@@ -497,72 +410,46 @@ impl Substrate for Microkernel {
             })
     }
 
-    fn mem_read(
+    fn read_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, SubstrateError> {
-        let spans = self.mem_access(domain, offset, AccessKind::Read, len)?;
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(Initiator::cpu(World::Normal), pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        self.machine
+            .mapped_read(
+                &k.aspace,
+                Initiator::cpu(World::Normal),
+                Self::MEM_BASE,
+                offset,
+                len,
+            )
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 
-    fn mem_write(
+    fn write_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
         data: &[u8],
     ) -> Result<(), SubstrateError> {
-        let spans = self.mem_access(domain, offset, AccessKind::Write, data.len())?;
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(
-                    Initiator::cpu(World::Normal),
-                    pa,
-                    &data[cursor..cursor + span_len],
-                )
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        self.machine
+            .mapped_write(
+                &k.aspace,
+                Initiator::cpu(World::Normal),
+                Self::MEM_BASE,
+                offset,
+                data,
+            )
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 }
 
@@ -571,7 +458,9 @@ mod tests {
     use super::*;
     use lateral_hw::device::DeviceKind;
     use lateral_hw::machine::MachineBuilder;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::{DomainSpec, Substrate};
     use lateral_substrate::testkit::{Echo, MemoryScribe};
 
     fn kernel() -> Microkernel {

@@ -352,8 +352,7 @@ impl SecureChannel {
 ///
 /// * **blind** ([`BackoffSchedule::eager`]): the sender cannot observe
 ///   delivery at all, so every scheduled attempt is transmitted and the
-///   receiver's dedup absorbs the surplus — the old fixed-count
-///   `send_with_retry` semantics.
+///   receiver's dedup absorbs the surplus.
 /// * **link-acknowledged** ([`BackoffSchedule::capped`]): the transport
 ///   reports whether a copy was handed to the destination inbox (not
 ///   whether the application accepted it), so the sender stops at the
@@ -390,7 +389,7 @@ impl BackoffSchedule {
     }
 
     /// The blind fixed-count schedule (zero delay, transmit every
-    /// attempt) — `send_with_retry`'s historical semantics.
+    /// attempt).
     #[must_use]
     pub fn eager(attempts: u32) -> BackoffSchedule {
         BackoffSchedule {
@@ -490,43 +489,6 @@ pub fn send_with_backoff(
             "no copy delivered within {attempts} transmission(s)"
         ))),
     })
-}
-
-/// Sends `record` through the adversarial network up to `attempts` times
-/// (bounded retry). The sender cannot observe drops, so every attempt is
-/// transmitted; the receiver's [`SecureChannel::open_numbered`] dedup
-/// absorbs the surplus copies. Combined with a transient attack window
-/// ([`crate::sim::AttackMode::DropFirst`] or a temporary
-/// [`crate::sim::AttackMode::DropAll`]), at least one copy lands as soon
-/// as the window closes within the retry budget.
-///
-/// Thin wrapper over [`send_with_backoff`] with the blind
-/// [`BackoffSchedule::eager`] schedule (zero delays, every attempt
-/// transmitted, drops invisible).
-///
-/// # Errors
-///
-/// [`NetError::UnknownAddr`] when the destination is not registered.
-pub fn send_with_retry(
-    net: &mut crate::sim::Network,
-    from: &crate::Addr,
-    to: &crate::Addr,
-    record: &[u8],
-    attempts: u32,
-) -> Result<(), NetError> {
-    let mut clock = 0;
-    match send_with_backoff(
-        net,
-        from,
-        to,
-        record,
-        &BackoffSchedule::eager(attempts),
-        &mut clock,
-    ) {
-        Ok(_) => Ok(()),
-        Err(NetError::RetryExhausted { last_err, .. }) => Err(*last_err),
-        Err(e) => Err(e),
-    }
 }
 
 fn transcript_digest(client_hello: &[u8], server_core: &[u8]) -> Digest {
@@ -1139,7 +1101,15 @@ mod tests {
         // The adversary swallows the first two transmissions.
         net.set_attack(AttackMode::DropFirst(2));
         let record = c.seal_numbered(b"reading: 42 kWh");
-        send_with_retry(&mut net, &a, &b, &record, 4).unwrap();
+        let sent = send_with_backoff(
+            &mut net,
+            &a,
+            &b,
+            &record,
+            &BackoffSchedule::eager(4),
+            &mut 0,
+        );
+        assert_eq!(sent.unwrap(), 4, "a blind schedule transmits every attempt");
         assert_eq!(net.dropped(), 2);
 
         // Two copies got through: the first delivers, the second dedups.
@@ -1154,7 +1124,8 @@ mod tests {
 
         // The channel did not desynchronize: the next message flows.
         let next = c.seal_numbered(b"reading: 43 kWh");
-        send_with_retry(&mut net, &a, &b, &next, 4).unwrap();
+        let sent = send_with_backoff(&mut net, &a, &b, &next, &BackoffSchedule::eager(4), &mut 0);
+        assert_eq!(sent.unwrap(), 4, "a blind schedule transmits every attempt");
         let p = net.recv(&b).unwrap().unwrap();
         assert_eq!(
             s.open_numbered(&p.payload).unwrap().unwrap(),
@@ -1545,12 +1516,28 @@ mod tests {
         // Total outage: every retry within the window is lost.
         net.set_attack(AttackMode::DropAll);
         let record = c.seal_numbered(b"during outage");
-        send_with_retry(&mut net, &a, &b, &record, 3).unwrap();
+        let sent = send_with_backoff(
+            &mut net,
+            &a,
+            &b,
+            &record,
+            &BackoffSchedule::eager(3),
+            &mut 0,
+        );
+        assert_eq!(sent.unwrap(), 3, "a blind schedule transmits every attempt");
         assert_eq!(net.pending(&b), 0);
 
         // Window ends; the *same* record bytes retransmit and deliver.
         net.set_attack(AttackMode::Passive);
-        send_with_retry(&mut net, &a, &b, &record, 3).unwrap();
+        let sent = send_with_backoff(
+            &mut net,
+            &a,
+            &b,
+            &record,
+            &BackoffSchedule::eager(3),
+            &mut 0,
+        );
+        assert_eq!(sent.unwrap(), 3, "a blind schedule transmits every attempt");
         let p = net.recv(&b).unwrap().unwrap();
         assert_eq!(
             s.open_numbered(&p.payload).unwrap().unwrap(),

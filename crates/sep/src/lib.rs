@@ -30,7 +30,6 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::fuse::FuseAccess;
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
@@ -38,10 +37,9 @@ use lateral_hw::mmu::{AddressSpace, Rights};
 use lateral_hw::{Initiator, VirtAddr, World, PAGE_SIZE};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::Component;
 use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::substrate::DomainSpec;
 use lateral_substrate::{DomainId, SubstrateError};
 
 /// Name of the fused SEP root key (the UID fused at manufacture).
@@ -194,6 +192,10 @@ impl Sep {
 }
 
 impl BackendPolicy for Sep {
+    fn describe(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -287,6 +289,14 @@ impl BackendPolicy for Sep {
         self.machine.clock.advance(cycles);
     }
 
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
+    }
+
+    fn rng_root(&mut self) -> (&mut Drbg, &'static str) {
+        (&mut self.rng, "domain")
+    }
+
     fn seal_blob(
         &mut self,
         domain: DomainId,
@@ -340,165 +350,35 @@ impl BackendPolicy for Sep {
             report_data,
         ))
     }
-}
 
-impl Substrate for Sep {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    /// Spawns a trusted component on the coprocessor.
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn attestation_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.attest_key.verifying_key())
     }
 
-    fn mem_read(
+    fn read_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, SubstrateError> {
         let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                len,
-                AccessKind::Read,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(initiator, pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
+        let aspace = &self.kstate[&domain].aspace;
+        self.machine
+            .mapped_read(aspace, initiator, Self::MEM_BASE, offset, len)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 
-    fn mem_write(
+    fn write_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
         data: &[u8],
     ) -> Result<(), SubstrateError> {
         let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                data.len(),
-                AccessKind::Write,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(initiator, pa, &data[cursor..cursor + span_len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
+        let aspace = &self.kstate[&domain].aspace;
+        self.machine
+            .mapped_write(aspace, initiator, Self::MEM_BASE, offset, data)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 }
 
@@ -506,7 +386,9 @@ impl Substrate for Sep {
 mod tests {
     use super::*;
     use lateral_hw::machine::MachineBuilder;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::Substrate;
     use lateral_substrate::testkit::Echo;
 
     fn sep() -> Sep {

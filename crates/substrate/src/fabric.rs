@@ -3,8 +3,9 @@
 //! checks, reentrancy guards, channel grant/revoke, sealing dispatch,
 //! and attestation-evidence assembly — parameterized by the small
 //! [`BackendPolicy`] hook trait through which a backend contributes
-//! only *policy*: memory placement, world/transition rules, its
-//! crossing-cost model, and key derivation.
+//! only *policy*: memory placement and access, world/transition rules,
+//! its crossing-cost model, its clock, and key derivation. Every policy
+//! is a [`Substrate`] through the one blanket implementation here.
 //!
 //! The paper's §III-A demand is a *single* unified isolation interface;
 //! before this module each of the six backends re-implemented the same
@@ -25,10 +26,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use lateral_crypto::rng::Drbg;
+use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_telemetry::profile::CrossingProfile;
 use lateral_telemetry::{outcome as span_outcome, CounterId, HistogramId, LabelId, Telemetry};
 
+use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
 use crate::cap::{Badge, CapTable, ChannelCap};
 use crate::component::{Component, ComponentError, Invocation};
@@ -965,8 +969,12 @@ impl Fabric {
 /// The policy hooks a backend implements instead of the full mechanics.
 /// Everything else — lifecycle, capability checks, reentrancy, channel
 /// management, tracing — is supplied by the engine functions in this
-/// module, which backends delegate their [`Substrate`] methods to.
-pub trait BackendPolicy: Substrate {
+/// module, and every `BackendPolicy` is a [`Substrate`] through the one
+/// blanket implementation below.
+pub trait BackendPolicy {
+    /// The backend's self-description ([`Substrate::profile`]).
+    fn describe(&self) -> &SubstrateProfile;
+
     /// The backend's fabric (domain table + trace + stats).
     fn fabric(&self) -> &Fabric;
 
@@ -1041,6 +1049,14 @@ pub trait BackendPolicy: Substrate {
     /// Advances the backend's logical clock by `cycles`.
     fn advance_clock(&mut self, cycles: u64);
 
+    /// The backend's logical clock in cycles ([`Substrate::now`]).
+    fn clock(&self) -> u64;
+
+    /// The generator every domain's randomness forks from, and the
+    /// label prefix a domain's stream is forked under (`"domain"`;
+    /// Flicker's PALs use `"pal"`).
+    fn rng_root(&mut self) -> (&mut Drbg, &'static str);
+
     /// Seals `data` to `measurement` for `domain` — key derivation is
     /// the backend's (EGETKEY, fused root, TPM session, …).
     ///
@@ -1079,6 +1095,184 @@ pub trait BackendPolicy: Substrate {
         measurement: Digest,
         report_data: &[u8],
     ) -> Result<AttestationEvidence, SubstrateError>;
+
+    /// The platform's attestation verifying key
+    /// ([`Substrate::platform_verifying_key`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::Unsupported`] when the backend cannot attest.
+    fn attestation_key(&self) -> Result<VerifyingKey, SubstrateError>;
+
+    /// Reads the domain's private memory — the backend's memory path
+    /// ([`Substrate::mem_read`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::NoSuchDomain`];
+    /// [`SubstrateError::AccessDenied`] for out-of-range accesses.
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError>;
+
+    /// Writes the domain's private memory ([`Substrate::mem_write`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`BackendPolicy::read_mem`].
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError>;
+}
+
+/// The engine as the unified interface: every backend is a
+/// [`BackendPolicy`], and this is its only [`Substrate`] implementation.
+/// `spawn` places domains as [`DomainKind::Trusted`]; backends with an
+/// untrusted side expose their own inherent spawn for it.
+impl<P: BackendPolicy> Substrate for P {
+    fn profile(&self) -> &SubstrateProfile {
+        self.describe()
+    }
+
+    fn spawn(
+        &mut self,
+        spec: DomainSpec,
+        component: Box<dyn Component>,
+    ) -> Result<DomainId, SubstrateError> {
+        spawn(self, spec, component, DomainKind::Trusted)
+    }
+
+    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
+        destroy(self, domain)
+    }
+
+    fn grant_channel(
+        &mut self,
+        from: DomainId,
+        to: DomainId,
+        badge: Badge,
+    ) -> Result<ChannelCap, SubstrateError> {
+        grant_channel(self, from, to, badge)
+    }
+
+    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
+        let rec = self.fabric_mut().table_mut().get_mut(cap.owner)?;
+        rec.caps.revoke(cap.slot);
+        Ok(())
+    }
+
+    fn invoke(
+        &mut self,
+        caller: DomainId,
+        cap: &ChannelCap,
+        data: &[u8],
+    ) -> Result<Vec<u8>, SubstrateError> {
+        invoke(self, caller, cap, data)
+    }
+
+    fn invoke_batch(
+        &mut self,
+        caller: DomainId,
+        cap: &ChannelCap,
+        payloads: &[&[u8]],
+    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
+        invoke_batch(self, caller, cap, payloads)
+    }
+
+    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
+        Ok(self.fabric().table().get(domain)?.measurement)
+    }
+
+    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
+        Ok(self.fabric().table().get(domain)?.spec.name.clone())
+    }
+
+    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
+        seal(self, domain, data)
+    }
+
+    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
+        unseal(self, domain, sealed)
+    }
+
+    fn attest(
+        &mut self,
+        domain: DomainId,
+        report_data: &[u8],
+    ) -> Result<AttestationEvidence, SubstrateError> {
+        // No span here: whether evidence assembly succeeds is a *backend
+        // capability* (software cannot attest, SGX can), and fabric spans
+        // must stay backend-invariant. Attestation shows up causally in
+        // the remote layer's `attest.verify` / `attest.evidence` spans.
+        let m = self.fabric().table().get(domain)?.measurement;
+        self.attest_evidence(domain, m, report_data)
+    }
+
+    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+        self.attestation_key()
+    }
+
+    fn mem_read(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        self.read_mem(domain, offset, len)
+    }
+
+    fn mem_write(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        self.write_mem(domain, offset, data)
+    }
+
+    fn rng_u64(&mut self, domain: DomainId) -> u64 {
+        let (rng, label) = self.rng_root();
+        rng.fork(&format!("{label}-{}", domain.0)).next_u64()
+    }
+
+    fn now(&self) -> u64 {
+        self.clock()
+    }
+
+    fn charge_cycles(&mut self, cycles: u64) {
+        self.advance_clock(cycles);
+    }
+
+    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
+        let rec = self.fabric().table().get(domain)?;
+        Ok(rec
+            .caps
+            .iter()
+            .map(|(slot, e)| ChannelCap {
+                owner: domain,
+                slot,
+                nonce: e.nonce,
+            })
+            .collect())
+    }
+
+    fn fabric_ref(&self) -> Option<&Fabric> {
+        Some(self.fabric())
+    }
+
+    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
+        Some(self.fabric_mut())
+    }
+
+    fn cost_model(&self) -> Option<CrossingCostModel> {
+        Some(BackendPolicy::cost_model(self))
+    }
 }
 
 /// Engine: creates a domain — inserts the record, places it via the
@@ -1200,7 +1394,7 @@ pub fn spawn<B: BackendPolicy>(
 /// # Errors
 ///
 /// [`SubstrateError::NoSuchDomain`].
-pub fn destroy<B: BackendPolicy>(backend: &mut B, id: DomainId) -> Result<(), SubstrateError> {
+fn destroy<B: BackendPolicy>(backend: &mut B, id: DomainId) -> Result<(), SubstrateError> {
     backend.fabric().table().get(id)?;
     let labels = backend
         .fabric_mut()
@@ -1224,7 +1418,7 @@ pub fn destroy<B: BackendPolicy>(backend: &mut B, id: DomainId) -> Result<(), Su
 /// # Errors
 ///
 /// [`SubstrateError::NoSuchDomain`] for missing endpoints.
-pub fn grant_channel<B: BackendPolicy>(
+fn grant_channel<B: BackendPolicy>(
     backend: &mut B,
     from: DomainId,
     to: DomainId,
@@ -1263,20 +1457,6 @@ pub fn grant_channel<B: BackendPolicy>(
     Ok(rec.caps.install(from, to, badge))
 }
 
-/// Engine: revokes a channel.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`] if the owner is gone.
-pub fn revoke_channel<B: BackendPolicy>(
-    backend: &mut B,
-    cap: &ChannelCap,
-) -> Result<(), SubstrateError> {
-    let rec = backend.fabric_mut().table_mut().get_mut(cap.owner)?;
-    rec.caps.revoke(cap.slot);
-    Ok(())
-}
-
 /// Engine: the invocation path. Validates the capability (recording
 /// denials), runs the backend gate (recording reentrancy faults),
 /// classifies and charges the crossing, dispatches take-out/put-back,
@@ -1285,7 +1465,7 @@ pub fn revoke_channel<B: BackendPolicy>(
 /// # Errors
 ///
 /// See [`Substrate::invoke`].
-pub fn invoke<B: BackendPolicy>(
+fn invoke<B: BackendPolicy>(
     backend: &mut B,
     caller: DomainId,
     cap: &ChannelCap,
@@ -1443,7 +1623,7 @@ fn invoke_label<B: BackendPolicy>(backend: &mut B, target: DomainId) -> LabelId 
 /// # Errors
 ///
 /// See [`Substrate::invoke`]; the error is the first failing payload's.
-pub fn invoke_batch<B: BackendPolicy>(
+fn invoke_batch<B: BackendPolicy>(
     backend: &mut B,
     caller: DomainId,
     cap: &ChannelCap,
@@ -1615,37 +1795,13 @@ fn run_component<B: BackendPolicy>(
     result.map_err(|ComponentError(msg)| SubstrateError::ComponentFailure(msg))
 }
 
-/// Engine: a domain's code identity.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn measurement<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<Digest, SubstrateError> {
-    Ok(backend.fabric().table().get(domain)?.measurement)
-}
-
-/// Engine: a domain's diagnostic name.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn domain_name<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<String, SubstrateError> {
-    Ok(backend.fabric().table().get(domain)?.spec.name.clone())
-}
-
 /// Engine: seals `data` to `domain`'s identity via the backend's key
 /// derivation.
 ///
 /// # Errors
 ///
 /// See [`Substrate::seal`].
-pub fn seal<B: BackendPolicy>(
+fn seal<B: BackendPolicy>(
     backend: &mut B,
     domain: DomainId,
     data: &[u8],
@@ -1693,7 +1849,7 @@ pub fn seal<B: BackendPolicy>(
 /// # Errors
 ///
 /// See [`Substrate::unseal`].
-pub fn unseal<B: BackendPolicy>(
+fn unseal<B: BackendPolicy>(
     backend: &mut B,
     domain: DomainId,
     sealed: &[u8],
@@ -1715,45 +1871,6 @@ pub fn unseal<B: BackendPolicy>(
         .telemetry
         .instant_label(labels.unseal, "fabric", at, outcome);
     result
-}
-
-/// Engine: assembles attestation evidence for `domain`.
-///
-/// # Errors
-///
-/// See [`Substrate::attest`].
-pub fn attest<B: BackendPolicy>(
-    backend: &mut B,
-    domain: DomainId,
-    report_data: &[u8],
-) -> Result<AttestationEvidence, SubstrateError> {
-    // No span here: whether evidence assembly succeeds is a *backend
-    // capability* (software cannot attest, SGX can), and fabric spans
-    // must stay backend-invariant. Attestation shows up causally in the
-    // remote layer's `attest.verify` / `attest.evidence` spans instead.
-    let m = backend.fabric().table().get(domain)?.measurement;
-    backend.attest_evidence(domain, m, report_data)
-}
-
-/// Engine: enumerates `domain`'s live capabilities.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn list_caps<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<Vec<ChannelCap>, SubstrateError> {
-    let rec = backend.fabric().table().get(domain)?;
-    Ok(rec
-        .caps
-        .iter()
-        .map(|(slot, e)| ChannelCap {
-            owner: domain,
-            slot,
-            nonce: e.nonce,
-        })
-        .collect())
 }
 
 #[cfg(test)]

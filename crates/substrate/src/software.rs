@@ -13,8 +13,8 @@
 //! Besides being paper-faithful, this substrate is the fast reference
 //! implementation used by unit tests throughout the workspace, and the
 //! reference [`BackendPolicy`] implementation: all mechanism lives in
-//! [`crate::fabric`]; this file contributes only placement, the trivial
-//! cost model, and HKDF-based sealing.
+//! [`crate::fabric`]; this file contributes only placement, flat
+//! per-domain memory, the trivial cost model, and HKDF-based sealing.
 //!
 //! [`AttackerModel::RemoteSoftware`]: crate::attacker::AttackerModel::RemoteSoftware
 
@@ -25,10 +25,7 @@ use lateral_crypto::Digest;
 
 use crate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use crate::attest::AttestationEvidence;
-use crate::cap::{Badge, ChannelCap};
-use crate::component::Component;
 use crate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use crate::substrate::{DomainSpec, Substrate};
 use crate::{DomainId, SubstrateError};
 
 const PAGE: usize = 4096;
@@ -94,6 +91,10 @@ impl SoftwareSubstrate {
 }
 
 impl BackendPolicy for SoftwareSubstrate {
+    fn describe(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -149,6 +150,14 @@ impl BackendPolicy for SoftwareSubstrate {
         self.clock += cycles;
     }
 
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn rng_root(&mut self) -> (&mut Drbg, &'static str) {
+        (&mut self.rng, "domain")
+    }
+
     fn seal_blob(
         &mut self,
         _domain: DomainId,
@@ -184,87 +193,14 @@ impl BackendPolicy for SoftwareSubstrate {
                 .into(),
         ))
     }
-}
 
-impl Substrate for SoftwareSubstrate {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn attestation_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Err(SubstrateError::Unsupported(
             "software isolation cannot attest".into(),
         ))
     }
 
-    fn mem_read(
+    fn read_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
@@ -280,7 +216,7 @@ impl Substrate for SoftwareSubstrate {
         Ok(mem[offset..end].to_vec())
     }
 
-    fn mem_write(
+    fn write_mem(
         &mut self,
         domain: DomainId,
         offset: usize,
@@ -296,42 +232,14 @@ impl Substrate for SoftwareSubstrate {
         self.clock += 1;
         Ok(())
     }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.clock
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{ComponentError, FnComponent, Invocation};
-    use crate::substrate::DomainContext;
+    use crate::cap::{Badge, ChannelCap};
+    use crate::component::{Component, ComponentError, FnComponent, Invocation};
+    use crate::substrate::{DomainContext, DomainSpec, Substrate};
 
     fn echo() -> Box<dyn Component> {
         Box::new(FnComponent::new("echo", |_ctx, inv: Invocation<'_>| {

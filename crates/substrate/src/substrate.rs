@@ -5,9 +5,11 @@
 //! §III-A: *"Software components should be developed once against the
 //! common pattern and then should run on any isolation implementation."*
 //! Backends (`lateral-microkernel`, `lateral-trustzone`, `lateral-sgx`,
-//! `lateral-sep`, and [`crate::software`]) implement [`Substrate`];
-//! everything above — the component toolbox, the composer, the example
-//! applications — sees only this interface.
+//! `lateral-sep`, `lateral-flicker`, and [`crate::software`]) implement
+//! [`crate::fabric::BackendPolicy`] and are a [`Substrate`] through the
+//! engine's one blanket implementation; everything above — the
+//! component toolbox, the composer, the example applications — sees
+//! only this interface.
 
 use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
@@ -15,7 +17,7 @@ use lateral_crypto::Digest;
 use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
 use crate::cap::{Badge, CapTable, ChannelCap};
-use crate::component::{Component, ComponentError, Invocation};
+use crate::component::Component;
 use crate::{DomainId, SubstrateError};
 
 /// Everything needed to create a protection domain hosting one component.
@@ -252,9 +254,9 @@ pub trait Substrate {
     /// Advances the substrate's logical clock by `cycles` without
     /// dispatching anything — how the shard layer charges the
     /// cross-shard crossing cost on the *caller's* shard clock through
-    /// the object-safe interface. Backends built on the fabric engine
-    /// forward to their [`crate::fabric::BackendPolicy::advance_clock`];
-    /// the default is a no-op for substrates without a clock to charge.
+    /// the object-safe interface. The fabric engine forwards to the
+    /// backend's [`crate::fabric::BackendPolicy::advance_clock`]; the
+    /// default is a no-op for substrates without a clock to charge.
     fn charge_cycles(&mut self, cycles: u64) {
         let _ = cycles;
     }
@@ -273,17 +275,13 @@ pub trait Substrate {
     /// through the fabric engine (all in-tree backends do). Experiments
     /// read crossing counts and byte volumes through this without
     /// giving up object safety.
-    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric> {
-        None
-    }
+    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric>;
 
     /// Mutable access to the backend's fabric — how supervisors and
     /// fault-injection harnesses install a [`crate::fault::FaultPlan`]
     /// through the object-safe interface without knowing the concrete
     /// backend type.
-    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric> {
-        None
-    }
+    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric>;
 
     /// The backend's causal telemetry collector — spans for every
     /// engine operation plus the unified metrics registry. Defaults to
@@ -304,10 +302,8 @@ pub trait Substrate {
     /// [`crate::fabric::CrossingCostModel`]) — what the placement
     /// optimizer prices hypothetical placements against. `None` for
     /// backends without an introspectable cost model; every in-tree
-    /// backend (and the sharded fabric) overrides this.
-    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel> {
-        None
-    }
+    /// backend (and the sharded fabric) has one.
+    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel>;
 
     /// The crossing profile folded from the backend's retained trace —
     /// per-edge cost histograms and byte totals (see
@@ -541,55 +537,10 @@ impl DomainTable {
     }
 }
 
-/// Shared dispatch logic used by backend `invoke` implementations:
-/// validates the capability, takes the target component out, runs
-/// `on_call` with a [`CallCtx`], and puts the component back.
-///
-/// The backend passes `substrate` as `self` and a closure-free pre-split
-/// of its state is avoided by making this a method-style free function.
-///
-/// # Errors
-///
-/// All the invocation errors documented on [`Substrate::invoke`].
-pub fn dispatch_call<S, FTab>(
-    substrate: &mut S,
-    table: FTab,
-    caller: DomainId,
-    cap: &ChannelCap,
-    data: &[u8],
-) -> Result<Vec<u8>, SubstrateError>
-where
-    S: Substrate,
-    FTab: Fn(&mut S) -> &mut DomainTable,
-{
-    let entry = {
-        let tab = table(substrate);
-        let caller_rec = tab.get(caller)?;
-        caller_rec.caps.lookup(caller, cap)?
-    };
-    let target = entry.target;
-    let (mut component, measurement) = {
-        let tab = table(substrate);
-        let m = tab.get(target)?.measurement;
-        (tab.take_component(target)?, m)
-    };
-    let result = {
-        let mut ctx = CallCtx::new(substrate as &mut dyn Substrate, target, measurement);
-        component.on_call(
-            &mut ctx,
-            Invocation {
-                badge: entry.badge,
-                data,
-            },
-        )
-    };
-    table(substrate).put_component(target, component);
-    result.map_err(|ComponentError(msg)| SubstrateError::ComponentFailure(msg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::{ComponentError, Invocation};
 
     #[test]
     fn spec_measurement_depends_only_on_image() {

@@ -172,7 +172,7 @@ pub mod parity {
     use super::{BadgeReporter, Echo, Forwarder, Sealer};
     use crate::cap::Badge;
     use crate::substrate::{DomainSpec, Substrate};
-    use crate::SubstrateError;
+    use crate::{DomainId, SubstrateError};
     use lateral_telemetry::{outcome, SpanId};
 
     /// Runs the full parity battery: reentrancy, revoke-then-invoke,
@@ -304,6 +304,59 @@ pub mod parity {
         );
         sub.destroy(a).unwrap();
         sub.destroy(b).unwrap();
+    }
+
+    /// Memory edges: offsets whose end overflows (`usize::MAX`,
+    /// `usize::MAX - 3`) and reads of `usize::MAX` bytes are refused with
+    /// [`SubstrateError::AccessDenied`] without panicking and leave the
+    /// domain's memory as it was; a destroyed or unknown domain is
+    /// [`SubstrateError::NoSuchDomain`].
+    pub fn assert_memory_edges_refused(sub: &mut dyn Substrate) {
+        let name = sub.profile().name.clone();
+        let spec = DomainSpec::named("parity-mem-edges");
+        let size = spec.mem_pages * 4096;
+        let d = sub
+            .spawn(spec, Box::new(Echo))
+            .unwrap_or_else(|e| panic!("[{name}] spawn: {e}"));
+        let pattern: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+        sub.mem_write(d, 0, &pattern)
+            .unwrap_or_else(|e| panic!("[{name}] in-range write: {e}"));
+        for (offset, len) in [
+            (usize::MAX, 4),
+            (usize::MAX - 3, 4),
+            (0, usize::MAX),
+            (1, usize::MAX),
+        ] {
+            let got = sub.mem_read(d, offset, len).map(|v| v.len());
+            assert!(
+                matches!(got, Err(SubstrateError::AccessDenied(_))),
+                "[{name}] mem_read({offset:#x}, {len:#x}) = {got:?}, want AccessDenied"
+            );
+        }
+        for offset in [usize::MAX, usize::MAX - 3] {
+            let got = sub.mem_write(d, offset, b"edge");
+            assert!(
+                matches!(got, Err(SubstrateError::AccessDenied(_))),
+                "[{name}] mem_write({offset:#x}) = {got:?}, want AccessDenied"
+            );
+        }
+        let after = sub
+            .mem_read(d, 0, size)
+            .unwrap_or_else(|e| panic!("[{name}] in-range read: {e}"));
+        assert!(
+            after == pattern,
+            "[{name}] refused accesses must leave memory unchanged"
+        );
+        sub.destroy(d).unwrap();
+        for gone in [d, DomainId(u32::MAX)] {
+            let read = sub.mem_read(gone, 0, 4).map(|v| v.len());
+            let write = sub.mem_write(gone, 0, b"edge");
+            assert!(
+                matches!(read, Err(SubstrateError::NoSuchDomain(_)))
+                    && matches!(write, Err(SubstrateError::NoSuchDomain(_))),
+                "[{name}] {gone:?}: mem_read = {read:?}, mem_write = {write:?}, want NoSuchDomain"
+            );
+        }
     }
 
     /// One scenario is one connected span tree: every fabric event

@@ -8,8 +8,8 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
@@ -17,138 +17,107 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Run-twice determinism gate over the deterministic experiment suite.
-# Each experiment runs twice and the outputs must be byte-identical —
-# except lines tagged "wall-clock" (E13/E14 throughput measurements)
-# and "host-cores" (E14's shard-count sweep tops out at the host core
-# count), which are inherently machine-dependent and stripped before
-# comparing. Per-experiment marker greps keep the reports honest about
-# what they claim to have measured.
+# Run-twice determinism gate over every experiment. Each experiment
+# runs twice and the outputs must be byte-identical — except lines
+# tagged "wall-clock" (throughput measurements) and "host-cores" (E14's
+# shard-count sweep tops out at the host core count), which are
+# inherently machine-dependent and stripped before comparing. Each
+# experiment then declares its gate markers once, below: what its
+# report must say (`require`) and must never say (`forbid`).
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-for exp in e10 e11 e12 e13 e14 e15 e16 e17 e18; do
+
+# require FILE PATTERN: FILE must match the extended regex PATTERN.
+require() {
+    if ! grep -qE "$2" "$1"; then
+        echo "$exp output is missing \"$2\"" >&2
+        exit 1
+    fi
+}
+
+# forbid FILE PATTERN: FILE must not match the extended regex PATTERN.
+forbid() {
+    if grep -qE "$2" "$1"; then
+        echo "$exp output reports \"$2\"" >&2
+        exit 1
+    fi
+}
+
+# wrote FILE: the experiment must have written its BENCH file.
+wrote() {
+    if ! test -f "$1"; then
+        echo "$exp did not write $1" >&2
+        exit 1
+    fi
+}
+
+for exp in e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18; do
     echo "==> determinism gate: $exp twice"
-    cargo run --release -q -p lateral-bench --bin repro -- "$exp" > "$tmpdir/$exp-raw.txt"
-    grep -vE "wall-clock|host-cores" "$tmpdir/$exp-raw.txt" > "$tmpdir/$exp-a.txt"
+    raw="$tmpdir/$exp-raw.txt"
+    det="$tmpdir/$exp-a.txt"
+    cargo run --release -q -p lateral-bench --bin repro -- "$exp" > "$raw"
+    grep -vE "wall-clock|host-cores" "$raw" > "$det"
     cargo run --release -q -p lateral-bench --bin repro -- "$exp" \
         | grep -vE "wall-clock|host-cores" > "$tmpdir/$exp-b.txt"
-    if ! cmp -s "$tmpdir/$exp-a.txt" "$tmpdir/$exp-b.txt"; then
+    if ! cmp -s "$det" "$tmpdir/$exp-b.txt"; then
         echo "DETERMINISM VIOLATION: two identical $exp runs diverged:" >&2
-        diff "$tmpdir/$exp-a.txt" "$tmpdir/$exp-b.txt" >&2 || true
+        diff "$det" "$tmpdir/$exp-b.txt" >&2 || true
         exit 1
     fi
     case "$exp" in
     e11)
-        if ! grep -q "registry-trace digest" "$tmpdir/$exp-a.txt"; then
-            echo "E11 output is missing its registry-trace digest table" >&2
-            exit 1
-        fi
+        require "$det" "registry-trace digest"
         ;;
     e12)
-        if ! grep -q "telemetry digest" "$tmpdir/$exp-a.txt"; then
-            echo "E12 output is missing its telemetry digests" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E12 telemetry digests diverged across backends" >&2
-            exit 1
-        fi
+        require "$det" "telemetry digest"
+        require "$det" "backend-invariant: yes"
+        require "$det" "propagated: yes"
+        forbid "$det" "backend-invariant: NO"
         ;;
     e13)
-        if ! grep -q "invocations/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E13 output is missing its throughput measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E13 digests diverged across backends" >&2
-            exit 1
-        fi
+        require "$raw" "invocations/sec"
+        require "$det" "backend-invariant: yes"
+        forbid "$det" "backend-invariant: NO"
         ;;
     e14)
-        if ! grep -q "invocations/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E14 output is missing its shard-scaling measurement" >&2
-            exit 1
-        fi
-        if ! grep -q "round trips/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E14 output is missing its cross-shard measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E14 merged-trace digests diverged across backends" >&2
-            exit 1
-        fi
+        require "$raw" "invocations/sec"
+        require "$raw" "round trips/sec"
+        require "$det" "backend-invariant: yes"
+        forbid "$det" "backend-invariant: NO"
+        wrote BENCH_E14.json
         ;;
     e15)
-        if ! grep -q "readings/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E15 output is missing its fleet throughput measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E15 fleet-state digests diverged across backends" >&2
-            exit 1
-        fi
-        if ! test -f BENCH_E15.json; then
-            echo "E15 did not write BENCH_E15.json" >&2
-            exit 1
-        fi
+        require "$raw" "readings/sec"
+        require "$det" "backend-invariant: yes"
+        forbid "$det" "backend-invariant: NO"
+        wrote BENCH_E15.json
         ;;
     e16)
-        if ! grep -q "proofs ingested/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E16 output is missing its proof-ingest measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E16 score digests diverged across backends" >&2
-            exit 1
-        fi
-        if grep -q "identical: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E16 incremental recompute diverged from full" >&2
-            exit 1
-        fi
-        if ! test -f BENCH_E16.json; then
-            echo "E16 did not write BENCH_E16.json" >&2
-            exit 1
-        fi
+        require "$raw" "proofs ingested/sec"
+        require "$det" "backend-invariant: yes"
+        require "$det" "identical: yes"
+        require "$det" "wave free: yes"
+        forbid "$det" "backend-invariant: NO"
+        forbid "$det" "identical: NO"
+        wrote BENCH_E16.json
         ;;
     e17)
-        if ! grep -q "rounds/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E17 output is missing its wall-clock measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E17 placement decisions diverged across backends" >&2
-            exit 1
-        fi
-        if grep -qE "VIOLATION|DIVERGED" "$tmpdir/$exp-a.txt"; then
-            echo "E17 live migration violated POLA or lost state" >&2
-            exit 1
-        fi
-        if ! test -f BENCH_E17.json; then
-            echo "E17 did not write BENCH_E17.json" >&2
-            exit 1
-        fi
+        require "$raw" "rounds/sec"
+        require "$det" "backend-invariant: yes"
+        require "$det" "clean +intact"
+        forbid "$det" "backend-invariant: NO"
+        forbid "$det" "VIOLATION|DIVERGED"
+        wrote BENCH_E17.json
         ;;
     e18)
-        if ! grep -q "requests/sec" "$tmpdir/$exp-raw.txt"; then
-            echo "E18 output is missing its throughput measurement" >&2
-            exit 1
-        fi
-        if grep -q "backend-invariant: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E18 session digests diverged across backends" >&2
-            exit 1
-        fi
-        if grep -q "conserved: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E18 mirror failover lost a fetch" >&2
-            exit 1
-        fi
-        if grep -q "rotated: NO" "$tmpdir/$exp-a.txt"; then
-            echo "E18 resumption failed to rotate the ticket" >&2
-            exit 1
-        fi
-        if ! test -f BENCH_E18.json; then
-            echo "E18 did not write BENCH_E18.json" >&2
-            exit 1
-        fi
+        require "$raw" "requests/sec"
+        require "$det" "backend-invariant: yes"
+        require "$det" "conserved: yes"
+        require "$det" "rotated: yes"
+        forbid "$det" "backend-invariant: NO"
+        forbid "$det" "conserved: NO"
+        forbid "$det" "rotated: NO"
+        wrote BENCH_E18.json
         ;;
     esac
 done

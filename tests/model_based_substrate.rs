@@ -196,6 +196,13 @@ fn stale_cap_into_respawned_domain_rejected_on_all_six() {
 }
 
 #[test]
+fn memory_edges_refused_on_all_six() {
+    for mut sub in all_substrates() {
+        parity::assert_memory_edges_refused(sub.as_mut());
+    }
+}
+
+#[test]
 fn invoke_batch_matches_invoke_loop_on_all_six() {
     // Two same-seed instances of each backend: the batch path on one
     // must leave byte-identical trace bytes and metrics digests to the
